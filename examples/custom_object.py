@@ -15,7 +15,7 @@ using the same machinery the paper's objects use:
 Run:  python examples/custom_object.py
 """
 
-from repro.core import Event, Log, Stuck
+from repro.core import Event, Log, ReplayFn, Stuck
 from repro.core.calculus import module_rule
 from repro.core.context import ExecutionContext
 from repro.core.events import ACQ, REL, freeze, thaw
@@ -57,13 +57,15 @@ def get_mean_impl(ctx: ExecutionContext):
 # --- 2. the atomic specification ---------------------------------------------
 
 
-def replay_stats(log: Log):
-    count = total = 0
-    for event in log:
-        if event.name == "add_sample":
-            count += 1
-            total += event.args[0]
-    return count, total
+def _stats_step(state, event):
+    count, total = state
+    if event.name == "add_sample":
+        return count + 1, total + event.args[0]
+    return state
+
+
+# ``(count, total)``, resumed from the log's memo on every call.
+replay_stats = ReplayFn("Rstats", lambda: (0, 0), _stats_step)
 
 
 def add_sample_spec(ctx: ExecutionContext, value):

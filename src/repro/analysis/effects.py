@@ -218,12 +218,13 @@ def _analyze_code(
             source = _nondet_source(ins.argval, value)
             if source is not None:
                 nondet.append((source, line))
-            elif isinstance(value, types.FunctionType):
-                referenced.append(value)
+            else:
+                referenced.extend(_functions_of(value))
         elif ins.opname in ("LOAD_DEREF", "LOAD_CLASSDEREF"):
             value = closure_map.get(ins.argval, _MISSING)
-            if isinstance(value, types.FunctionType):
-                referenced.append(value)
+            functions = _functions_of(value)
+            if functions:
+                referenced.extend(functions)
             elif value is not _MISSING:
                 source = _nondet_source(ins.argval, value)
                 if source is not None:
@@ -339,6 +340,20 @@ def _matching_call_nargs(
                 return None
             return ins.arg
     return None
+
+
+def _functions_of(value: Any) -> List[types.FunctionType]:
+    """The Python functions a referenced value runs when called.
+
+    A plain function is itself; a replay fold (``ReplayFn``, recognised
+    by its ``_init``/``_step``) runs its ``init``/``step``/``finish``.
+    """
+    if isinstance(value, types.FunctionType):
+        return [value]
+    parts = [getattr(value, f"_{role}", None) for role in ("init", "step", "finish")]
+    if not all(isinstance(fn, types.FunctionType) for fn in parts[:2]):
+        return []
+    return [fn for fn in parts if isinstance(fn, types.FunctionType)]
 
 
 def _nondet_source(name: str, value: Any) -> Optional[str]:

@@ -58,7 +58,7 @@ def lint_replay_fn(replay_fn: Any) -> List[LintFinding]:
     """R401/R402/R403 over one ``ReplayFn``'s init and step."""
     out: List[LintFinding] = []
     name = getattr(replay_fn, "name", repr(replay_fn))
-    for role in ("init", "step"):
+    for role in ("init", "step", "finish"):
         fn = getattr(replay_fn, f"_{role}", None)
         code = getattr(fn, "__code__", None)
         if code is None:

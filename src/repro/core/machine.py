@@ -177,7 +177,7 @@ def run_local(
             elif check_guar:
                 snapshot = buffer.snapshot()
                 if guar_frame and frame_allows_skip(
-                    guar_inv, snapshot.events[last_checked_len:]
+                    guar_inv, snapshot.suffix_after(last_checked_len)
                 ):
                     stepwise_skipped += 1
                     tally_law(FRAME)
@@ -200,7 +200,7 @@ def run_local(
                 guar_ok = False
         elif queries:
             stepwise_skipped -= 1
-            prefix = Log(buffer.snapshot().events[:last_query_len])
+            prefix = buffer.snapshot()[:last_query_len]
             if not interface.guar.holds(prefix, tid):
                 guar_ok = False
         if stepwise_skipped > 0:

@@ -10,17 +10,16 @@ model detects data races (Fig. 8: the ``None`` branches).
 
 This module provides the fold framework (:class:`ReplayFn`) and the
 paper's ``Rshared`` (Fig. 8).  Object-specific replay functions
-(``Rticket``, ``Rsched``, ``Rqueue``) live with their objects in
+(``Rticket``, ``Rsched``, ``Rqueue``, ...) live with their objects in
 :mod:`repro.objects`.
 """
 
 from __future__ import annotations
 
-import threading
 import weakref
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Callable, Dict, Generic, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, Generic, Optional, TypeVar
 
 from ..obs import obs_enabled
 from ..obs.metrics import inc
@@ -38,60 +37,59 @@ _REPLAY_REGISTRY: "weakref.WeakSet[ReplayFn]" = weakref.WeakSet()
 class ReplayFn(Generic[S]):
     """A replay function as a fold ``(init, step)`` over the log.
 
-    ``step(state, event) -> state`` may raise :class:`Stuck` to signal an
-    ill-formed log.  Calling the instance on a :class:`Log` runs the fold;
-    results are memoized per (log, params) because logs are immutable.
+    ``init(*params)`` is the state of the empty log, ``step(state, event,
+    *params)`` the state after one more event (it may raise :class:`Stuck`
+    on an ill-formed log), and ``finish(state)`` the value returned.
+
+    The fold is pure, so a call resumes from the state the log's memo
+    holds for ``(self, params)`` and steps only the events appended since.
+    States are shared through the memo and must be immutable; ``finish``
+    hands out fresh mutable copies.  A ``Stuck`` leaves the memo behind
+    the offending event, so every later call that reaches it raises again.
     """
 
     def __init__(
         self,
         name: str,
         init: Callable[..., S],
-        step: Callable[[S, Event], S],
-        cache_size: int = 4096,
+        step: Callable[..., S],
+        finish: Callable[[S], Any] = lambda state: state,
     ):
         self.name = name
         self._init = init
         self._step = step
-        # Hit/miss accounting is derived from the *return path*: the
-        # cached fold body flips a thread-local flag whenever it actually
-        # executes, so a lookup that raced with another thread's insert
-        # is still classified by what happened on this call, not by a
-        # before/after read of the shared lru_cache counters.
-        self._tls = threading.local()
-
-        @lru_cache(maxsize=cache_size)
-        def _run(log: Log, params: Tuple[Any, ...]) -> S:
-            self._tls.computed = True
-            state = init(*params)
-            for event in log:
-                state = step(state, event, *params) if _step_takes_params else step(state, event)
-            return state
-
-        # Detect whether `step` wants the parameters forwarded.
-        _step_takes_params = _arity_at_least(step, 3)
-        self._run = _run
+        self._finish = finish
+        self._stats = dict.fromkeys(("hits", "misses", "events_stepped"), 0)
         _REPLAY_REGISTRY.add(self)
 
     def __call__(self, log, *params) -> S:
         if not isinstance(log, Log):
             log = Log(log)
-        if obs_enabled():
-            self._tls.computed = False
-            result = self._run(log, params)
-            if self._tls.computed:
-                inc("replay.cache_misses")
-            else:
+        memo, key, end, stats = log._memo, (self, params), log._len, self._stats
+        stored, state = memo.get(key, (None, None))
+        if stored == end:
+            stats["hits"] += 1
+            if obs_enabled():
                 inc("replay.cache_hits")
-            return result
-        return self._run(log, params)
+            return self._finish(state)
+        pos = stored if stored is not None and stored < end else 0
+        if pos == 0:
+            state = self._init(*params)
+        step = self._step
+        for event in log._events[pos:end]:
+            state = step(state, event, *params)
+        if stored is None or stored < end:  # never move the memo backwards
+            memo[key] = (end, state)
+        stats["misses"] += 1
+        stats["events_stepped"] += end - pos
+        if obs_enabled():
+            inc("replay.cache_misses")
+            inc("replay.events_stepped", end - pos)
+        return self._finish(state)
 
-    def cache_info(self):
-        """The underlying ``functools.lru_cache`` statistics."""
-        return self._run.cache_info()
-
-    def cache_clear(self) -> None:
-        self._run.cache_clear()
+    def cache_info(self) -> Dict[str, int]:
+        """Per-process calls answered from the memo, calls that stepped, events stepped."""
+        return dict(self._stats)
 
     def __repr__(self):
         return f"ReplayFn({self.name})"
@@ -108,23 +106,10 @@ def replay_cache_info() -> Dict[str, Dict[str, int]]:
     Stamped into certificate provenance by the checkers (obs-gated) so a
     certificate records how much log replay the run amortized.
     """
-    out: Dict[str, Dict[str, int]] = {}
-    for fn in sorted(_REPLAY_REGISTRY, key=lambda f: f.name):
-        info = fn.cache_info()
-        entry = out.setdefault(
-            fn.name, {"hits": 0, "misses": 0, "currsize": 0}
-        )
-        entry["hits"] += info.hits
-        entry["misses"] += info.misses
-        entry["currsize"] += info.currsize
-    return out
-
-
-def _arity_at_least(fn: Callable, n: int) -> bool:
-    code = getattr(fn, "__code__", None)
-    if code is None:  # pragma: no cover - builtins
-        return False
-    return code.co_argcount >= n
+    out: Dict[str, Counter] = {}
+    for fn in all_replay_fns():
+        out.setdefault(fn.name, Counter()).update(fn.cache_info())
+    return {name: dict(counts) for name, counts in out.items()}
 
 
 # --- ownership status for the push/pull memory model ----------------------

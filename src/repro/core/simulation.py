@@ -136,11 +136,10 @@ def env_events_valid(log: Log, rely: Rely, env_tids: Set[int]) -> bool:
     longest one — both boolean-equivalent to the exhaustive walk.
     Participants whose rely declares neither keep the exact walk.
     """
-    events = log.events
     if RG_SIMPLIFY in current_axes():
         last_idx: Dict[int, int] = {}
         counts: Dict[int, int] = {}
-        for idx, event in enumerate(events):
+        for idx, event in enumerate(log):
             if event.tid in env_tids:
                 last_idx[event.tid] = idx
                 counts[event.tid] = counts.get(event.tid, 0) + 1
@@ -151,17 +150,16 @@ def env_events_valid(log: Log, rely: Rely, env_tids: Set[int]) -> bool:
                 tally_law(WEAKEN_RELY, counts[tid])
             elif getattr(inv, "prefix_closed", False):
                 tally_law(WEAKEN_RELY, counts[tid] - 1)
-                if not inv.holds(Log(events[: idx + 1])):
+                if not inv.holds(log[: idx + 1]):
                     return False
             else:
                 exact_tids.add(tid)
         if not exact_tids:
             return True
         env_tids = exact_tids
-    for idx, event in enumerate(events):
+    for idx, event in enumerate(log):
         if event.tid in env_tids:
-            prefix = Log(events[: idx + 1])
-            if not rely.condition(event.tid).holds(prefix):
+            if not rely.condition(event.tid).holds(log[: idx + 1]):
                 return False
     return True
 

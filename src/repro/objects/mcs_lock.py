@@ -36,7 +36,7 @@ from ..core.log import Log
 from ..core.machint import IntWidth
 from ..core.relation import EventMapRel
 from ..core.rely_guarantee import Guarantee, LogInvariant, Rely
-from ..core.replay import replay_shared
+from ..core.replay import ReplayFn, replay_shared
 from ..machine.atomics import ALOAD, ASTORE, CAS, SWAP, replay_atomic
 from ..machine.sharedmem import local_copy
 from .ticket_lock import (
@@ -74,36 +74,32 @@ def node_tid(nid: int) -> int:
 # --- replay: the MCS queue from the log --------------------------------------
 
 
-def replay_mcs_queue(log: Log, lock: Any) -> List[int]:
-    """The FIFO queue of participants waiting on / holding ``lock``.
-
-    Folds ``swap``/``cas``/hand-off events: joining the queue is the
-    ``swap`` on the tail; leaving is either a successful tail CAS back to
-    nil or the predecessor clearing our ``busy`` flag.  The head of the
-    returned list is the current MCS owner.
-    """
-    queue: List[int] = []
-    tc = tail_cell(lock)
-    for event in log:
-        if event.name == SWAP and event.args and event.args[0] == tc:
-            queue.append(event.tid)
-        elif event.name == CAS and event.args and event.args[0] == tc:
-            _, old, new = event.args
-            if new == NIL and queue == [event.tid] and old == node_id(event.tid):
-                queue.pop()
-        elif (
-            event.name == ASTORE
-            and event.args
-            and isinstance(event.args[0], tuple)
-            and event.args[0][:1] == ("mcs_busy",)
-            and event.args[0][1] == lock
-            and len(event.args) > 1
-            and event.args[1] == 0
-        ):
-            # The holder hands off to its successor.
-            if queue and queue[0] == event.tid:
-                queue.pop(0)
+def _mcs_step(queue: Tuple[int, ...], event: Event, lock: Any) -> Tuple[int, ...]:
+    if not event.args:
+        return queue
+    cell = event.args[0]
+    if event.name == SWAP and cell == tail_cell(lock):
+        return queue + (event.tid,)
+    if event.name == CAS and cell == tail_cell(lock):
+        _, old, new = event.args
+        if new == NIL and queue == (event.tid,) and old == node_id(event.tid):
+            return ()
+    elif (
+        event.name == ASTORE
+        and isinstance(cell, tuple)
+        and cell[:2] == ("mcs_busy", lock)
+        and event.args[1:2] == (0,)
+        and queue[:1] == (event.tid,)
+    ):
+        # The holder hands off to its successor.
+        return queue[1:]
     return queue
+
+
+replay_mcs_queue = ReplayFn("Rmcs", lambda lock: (), _mcs_step, list)
+"""``replay_mcs_queue(log, lock)``: the FIFO queue on ``lock``, head (the
+owner) first.  Joining is the ``swap`` on the tail; leaving is a successful
+tail CAS back to nil or the predecessor clearing our ``busy`` flag."""
 
 
 # --- M_mcs: the implementation (players over Lx86) -----------------------------

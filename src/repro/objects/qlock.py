@@ -47,9 +47,10 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.certificate import Certificate
 from ..core.context import ExecutionContext
 from ..core.errors import Stuck
-from ..core.events import ACQ, ACQ_Q, Event, REL, REL_Q, SLEEP, WAKEUP
+from ..core.events import ACQ, ACQ_Q, Event, REL, REL_Q, SLEEP, WAKEUP, thaw
 from ..core.interface import LayerInterface, Prim
 from ..core.log import Log
+from ..core.replay import ReplayFn
 from ..machine.sharedmem import local_copy
 from .local_queue import NIL
 from .sched import CpuMap
@@ -187,13 +188,12 @@ def replay_qlock_busy(log: Log, lock: Any) -> int:
     """The current ``ql_busy`` value from the spinlock's release events.
 
     The protected block's value travels in the spinlock's ``rel`` events;
-    the latest one gives the current busy word.
+    the latest one gives the current busy word (a projection of
+    ``Rlock``'s fold, so it shares that fold's memo).
     """
     value, _holder = replay_lock(log, ql_loc(lock))
     if value == ("vundef",) or value is None:
         return NIL
-    from ..core.events import thaw
-
     return thaw(value).get("busy", NIL)
 
 
@@ -219,12 +219,10 @@ def busy_matches_holder(
     test harness players); at every index inside a span the replayed
     busy word must be ``tid``.
     """
-    events = log.events
     for tid, spans in critical_spans.items():
         for start, end in spans:
-            for idx in range(start, min(end, len(events))):
-                prefix = Log(events[: idx + 1])
-                if replay_qlock_busy(prefix, lock) != tid:
+            for idx in range(start, min(end, len(log))):
+                if replay_qlock_busy(log[: idx + 1], lock) != tid:
                     return False
     return True
 
@@ -255,14 +253,12 @@ def mutual_exclusion_ok(log: Log, lock: Any) -> bool:
     """No two threads are simultaneously between enter and leave, and the
     busy word equals the occupant at every enter."""
     inside: Optional[int] = None
-    events = log.events
-    for idx, event in enumerate(events):
+    for idx, event in enumerate(log):
         if event.name == CRIT_ENTER and event.args and event.args[0] == lock:
             if inside is not None:
                 return False
             inside = event.tid
-            prefix = Log(events[: idx + 1])
-            if replay_qlock_busy(prefix, lock) != event.tid:
+            if replay_qlock_busy(log[: idx + 1], lock) != event.tid:
                 return False
         elif event.name == CRIT_LEAVE and event.args and event.args[0] == lock:
             if inside != event.tid:
@@ -341,6 +337,26 @@ def check_qlock_correctness(
 # --- the atomic overlay ---------------------------------------------------------------
 
 
+def _qlock_step(state: Tuple[int, Tuple[int, ...]], event: Event, lock: Any):
+    if not event.args or event.args[0] != lock:
+        return state
+    holder, waiters = state
+    if event.name == ACQ_Q:
+        if holder == NIL:
+            return (event.tid, waiters)
+        return (holder, waiters + (event.tid,))
+    if event.name == REL_Q:
+        if event.tid != holder:
+            raise Stuck(f"{event} by non-holder (holder {holder})")
+        return (waiters[0], waiters[1:]) if waiters else (NIL, ())
+    return state
+
+
+replay_qlock_queue = ReplayFn("Rqlock", lambda lock: (NIL, ()), _qlock_step)
+"""``replay_qlock_queue(log, lock)``: ``(holder, waiters)`` of the atomic
+queuing lock, FIFO, from ``acq_q``/``rel_q`` events."""
+
+
 def qlock_atomic_specs(cpus: CpuMap):
     """Atomic ``acq_q``/``rel_q`` — the same shape as the spinlocks'.
 
@@ -350,32 +366,17 @@ def qlock_atomic_specs(cpus: CpuMap):
     property, not in the safety interface.
     """
 
-    def replay_holder(log: Log, lock) -> Tuple[int, List[int]]:
-        holder = NIL
-        waiters: List[int] = []
-        for event in log:
-            if event.name == ACQ_Q and event.args and event.args[0] == lock:
-                if holder == NIL:
-                    holder = event.tid
-                else:
-                    waiters.append(event.tid)
-            elif event.name == REL_Q and event.args and event.args[0] == lock:
-                if event.tid != holder:
-                    raise Stuck(f"{event} by non-holder (holder {holder})")
-                holder = waiters.pop(0) if waiters else NIL
-        return holder, waiters
-
     def acq_q_spec(ctx: ExecutionContext, lock):
         ctx.emit(ACQ_Q, lock)
         while True:
             ctx.consume_fuel()
-            holder, _ = replay_holder(ctx.log, lock)
+            holder, _ = replay_qlock_queue(ctx.log, lock)
             if holder == ctx.tid:
                 return None
             yield from ctx.query()
 
     def rel_q_spec(ctx: ExecutionContext, lock):
-        holder, _ = replay_holder(ctx.log, lock)
+        holder, _ = replay_qlock_queue(ctx.log, lock)
         if holder != ctx.tid:
             raise Stuck(f"rel_q({lock}) by {ctx.tid}, holder {holder}")
         ctx.emit(REL_Q, lock)

@@ -59,6 +59,7 @@ replays to current = NIL_THREAD and goes idle.
 NIL_THREAD = 0
 from ..core.interface import LayerInterface, Prim, private_prim
 from ..core.log import Log
+from ..core.replay import ReplayFn
 from ..core.machine import GameScheduler
 from .local_queue import NIL
 
@@ -111,6 +112,50 @@ class SchedState:
     pending: List[int] = field(default_factory=list)
 
 
+def _sched_init(cpus: CpuMap, init_current: Tuple[Tuple[int, int], ...]):
+    # Initially every spawned thread except the running one is ready.
+    current = dict(init_current)
+    return {
+        cpu: (current[cpu], tuple(t for t in cpus.threads_on(cpu) if t != current[cpu]), ())
+        for cpu in cpus.cpus
+    }
+
+
+def _sched_step(states, event: Event, cpus: CpuMap, init_current):
+    if not event.args or event.name not in (YIELD, SLEEP, TEXIT, WAKEUP):
+        return states
+    if event.name == WAKEUP:
+        woken = event.args[1]
+        if woken == NIL:
+            return states
+        home = cpus.cpu_of(woken)
+        current, ready, pending = states[home]
+        if home == cpus.cpu_of(event.tid):
+            ready += (woken,)
+        else:
+            pending += (woken,)
+        return {**states, home: (current, ready, pending)}
+    cpu = cpus.cpu_of(event.tid)
+    _, ready, pending = states[cpu]
+    # Drain pending into ready, exactly as the implementation does.
+    ready = list(ready + pending)
+    # The CPU passes to the target (NIL_THREAD when it goes idle).  A yield
+    # to oneself is a no-op yield or an idle pickup; any other yield
+    # requeues the yielder at the tail.
+    target = event.args[1] if event.name == SLEEP else event.args[0]
+    if target in ready:
+        ready.remove(target)
+    if event.name == YIELD and target != event.tid:
+        ready.append(event.tid)
+    return {**states, cpu: (target, tuple(ready), ())}
+
+
+_rsched = ReplayFn("Rsched", _sched_init, _sched_step, lambda states: {
+    cpu: SchedState(current, list(ready), list(pending))
+    for cpu, (current, ready, pending) in states.items()
+})
+
+
 def replay_sched(
     log: Log, cpus: CpuMap, init_current: Dict[int, int]
 ) -> Dict[int, SchedState]:
@@ -123,63 +168,7 @@ def replay_sched(
     alone determine the state — that determinism is what makes the
     overlay a legitimate abstraction.
     """
-    # Initially every spawned thread except the running one is ready.
-    states = {
-        cpu: SchedState(
-            current=init_current[cpu],
-            ready=[t for t in cpus.threads_on(cpu) if t != init_current[cpu]],
-        )
-        for cpu in cpus.cpus
-    }
-    for event in log:
-        if event.name == YIELD and event.args:
-            cpu = cpus.cpu_of(event.tid)
-            state = states[cpu]
-            target = event.args[0]
-            # Drain pending into ready, exactly as the implementation does.
-            state.ready.extend(state.pending)
-            state.pending.clear()
-            if target == event.tid:
-                # Either a no-op yield (nobody ready) or an idle pickup
-                # (the hardware idle loop handing the CPU to the next
-                # runnable thread).
-                state.current = event.tid
-                if event.tid in state.ready:
-                    state.ready.remove(event.tid)
-            else:
-                # Self requeued at the tail; target removed from ready.
-                if target in state.ready:
-                    state.ready.remove(target)
-                state.ready.append(event.tid)
-                state.current = target
-        elif event.name == SLEEP and event.args:
-            cpu = cpus.cpu_of(event.tid)
-            state = states[cpu]
-            target = event.args[1]
-            state.ready.extend(state.pending)
-            state.pending.clear()
-            if target in state.ready:
-                state.ready.remove(target)
-            state.current = target
-        elif event.name == TEXIT and event.args:
-            cpu = cpus.cpu_of(event.tid)
-            state = states[cpu]
-            target = event.args[0]
-            state.ready.extend(state.pending)
-            state.pending.clear()
-            if target in state.ready:
-                state.ready.remove(target)
-            state.current = target  # NIL_THREAD when the CPU goes idle
-        elif event.name == WAKEUP and event.args:
-            woken = event.args[1]
-            if woken != NIL:
-                home = cpus.cpu_of(woken)
-                here = cpus.cpu_of(event.tid)
-                if home == here:
-                    states[home].ready.append(woken)
-                else:
-                    states[home].pending.append(woken)
-    return states
+    return _rsched(log, cpus, tuple(sorted(init_current.items())))
 
 
 def replay_current(
@@ -194,17 +183,20 @@ def idle_next(state: SchedState) -> int:
     return queue[0] if queue else NIL_THREAD
 
 
-def replay_slpq(log: Log, chan: Any) -> List[int]:
-    """The sleeping queue contents from atomic scheduling events."""
-    sleepers: List[int] = []
-    for event in log:
-        if event.name == SLEEP and event.args and event.args[0] == chan:
-            sleepers.append(event.tid)
-        elif event.name == WAKEUP and event.args and event.args[0] == chan:
-            woken = event.args[1]
-            if woken != NIL and woken in sleepers:
-                sleepers.remove(woken)
+def _slpq_step(sleepers: Tuple[int, ...], event: Event, chan: Any) -> Tuple[int, ...]:
+    if not event.args or event.args[0] != chan:
+        return sleepers
+    if event.name == SLEEP:
+        return sleepers + (event.tid,)
+    if event.name == WAKEUP and event.args[1] != NIL and event.args[1] in sleepers:
+        i = sleepers.index(event.args[1])
+        return sleepers[:i] + sleepers[i + 1:]
     return sleepers
+
+
+replay_slpq = ReplayFn("Rslpq", lambda chan: (), _slpq_step, list)
+"""``replay_slpq(log, chan)``: the sleeping queue contents from atomic
+scheduling events."""
 
 
 # --- the implementation over the atomic queue (+ lock) layer -----------------------

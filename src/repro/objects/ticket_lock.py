@@ -89,24 +89,23 @@ class TicketState:
         return self.now_serving == self.next_ticket
 
 
+def _ticket_step(state: TicketState, event: Event, lock: Any, width_bits: int) -> TicketState:
+    if event.name != FAI or not event.args:
+        return state
+    served = state.now_serving + (event.args[0] == n_cell(lock))
+    issued = state.next_ticket + (event.args[0] == t_cell(lock))
+    if served == state.now_serving and issued == state.next_ticket:
+        return state
+    width = IntWidth(width_bits)
+    return TicketState(served, issued, width.wrap(served), width.wrap(issued))
+
+
+_rticket = ReplayFn("Rticket", lambda lock, width_bits: TicketState(0, 0, 0, 0), _ticket_step)
+
+
 def replay_ticket(log: Log, lock: Any, width_bits: int = 32) -> TicketState:
     """``Rticket`` (§4.1): count ``FAI`` events on the two lock cells."""
-    next_ticket = 0
-    now_serving = 0
-    tc, nc = t_cell(lock), n_cell(lock)
-    for event in log:
-        if event.name == FAI and event.args:
-            if event.args[0] == tc:
-                next_ticket += 1
-            elif event.args[0] == nc:
-                now_serving += 1
-    width = IntWidth(width_bits)
-    return TicketState(
-        now_serving=now_serving,
-        next_ticket=next_ticket,
-        now_wrapped=width.wrap(now_serving),
-        next_wrapped=width.wrap(next_ticket),
-    )
+    return _rticket(log, lock, width_bits)
 
 
 def _lock_init(lock) -> Tuple[Any, Optional[int]]:
@@ -135,10 +134,6 @@ replay_lock = ReplayFn("Rlock", _lock_init, _lock_step)
 """Replay of the *atomic* lock interface: ``(value, holder)`` from
 ``acq``/``rel`` events.  Raises on mutual-exclusion violations, so any
 game over the atomic interface that completes is ME-consistent."""
-
-
-def lock_holder(log: Log, lock: Any) -> Optional[int]:
-    return replay_lock(log, lock)[1]
 
 
 # --- M1: the implementation (players over Lx86) ------------------------------

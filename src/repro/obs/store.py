@@ -758,7 +758,9 @@ def ingest_bench(
     ``bench`` is a payload dict or a path to a ``BENCH_<name>.json``
     file.  The record's metrics are the per-test wall times, so
     ``trends`` / ``regress`` treat bench history exactly like engine
-    runs.  Returns the appended record's digest.
+    runs, plus the deterministic ``work`` counts the tests recorded
+    (``record_bench(work={...})``), summed over tests, as informational
+    ``work.<name>`` series.  Returns the appended record's digest.
     """
     if isinstance(bench, str):
         with open(bench, "r", encoding="utf-8") as handle:
@@ -772,6 +774,7 @@ def ingest_bench(
         )
     module = payload.get("module") or "bench"
     tests: Dict[str, Dict[str, Any]] = {}
+    work: Dict[str, int] = {}
     ok = True
     wall = 0.0
     for entry in payload.get("tests") or []:
@@ -783,6 +786,8 @@ def ingest_bench(
         ok = ok and outcome == "passed"
         wall += duration
         tests[nodeid] = {"outcome": outcome, "duration_s": duration}
+        for name, count in ((entry.get("extra") or {}).get("work") or {}).items():
+            work[name] = work.get(name, 0) + count
     if object is None:
         stem = str(module)
         if stem.endswith(".py"):
@@ -796,6 +801,7 @@ def ingest_bench(
         "ok": ok,
         "wall_s": round(wall, 6),
         "bench": {"module": module, "tests": tests},
+        "work": work,
         "versions": _versions(),
         "host": _host_info(),
     }
@@ -834,6 +840,8 @@ def run_metrics(record: Dict[str, Any]) -> Dict[str, float]:
     checked = (incremental.get("reused") or 0) + (incremental.get("rechecked") or 0)
     if checked:
         out["incremental_reuse_rate"] = round(incremental["reused"] / checked, 4)
+    for name, count in (record.get("work") or {}).items():
+        out[f"work.{name}"] = float(count)
     for nodeid, entry in ((record.get("bench") or {}).get("tests") or {}).items():
         duration = entry.get("duration_s")
         if isinstance(duration, (int, float)):

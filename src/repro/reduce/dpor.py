@@ -178,14 +178,13 @@ class ReducingScheduler:
         self._chain = 0
 
     def pick(self, log, ready: FrozenSet[int]) -> int:
-        events = log.events
         chain = self._chain
-        for event in events[self._scanned:]:
+        for event in log.suffix_after(self._scanned):
             if not event.is_sched():
                 chain = extend_chain(chain, event)
         silent = chain == self._chain and self._scanned
         self._chain = chain
-        self._scanned = len(events)
+        self._scanned = len(log)
         if self.dpor:
             if self._sleep_next is not None:
                 self.sleep = self._sleep_next if silent else frozenset()

@@ -23,15 +23,16 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set,
 
 from ..core.certificate import Certificate, stamp_provenance
 from ..core.errors import OutOfFuel
-from ..core.events import DEQ, ENQ, SLEEP, WAKEUP, YIELD
+from ..core.events import DEQ, ENQ, SLEEP, WAKEUP, YIELD, Event
 from ..core.interface import LayerInterface
 from ..core.log import Log
-from ..core.machine import GameResult, run_game
+from ..core.machine import GameResult, NeedChoice, run_game
+from ..core.replay import ReplayFn
 from ..obs import obs_enabled, span
 from ..obs.coverage import CoverageBuilder, merge_coverage_maps
 from ..obs.forensics import MAX_COUNTEREXAMPLES, build_counterexample
 from ..obs.metrics import MetricsWindow, inc
-from ..objects.sched import CpuMap, TEXIT, ThreadGameScheduler
+from ..objects.sched import NIL_THREAD, CpuMap, TEXIT, ThreadGameScheduler, idle_next, replay_sched
 
 SCHED_EVENTS = {YIELD, SLEEP, WAKEUP, TEXIT}
 
@@ -53,34 +54,43 @@ def exiting(player: Callable) -> Callable:
     return wrapped
 
 
-def sched_projection(log: Log) -> Tuple:
-    """The scheduling-event skeleton of a log (queue traffic erased)."""
-    return tuple(
-        (e.tid, e.name, e.args)
-        for e in log
-        if e.name in SCHED_EVENTS
-    )
+def _sched_event_step(skeleton: Tuple, event: Event) -> Tuple:
+    if event.name in SCHED_EVENTS:
+        return skeleton + ((event.tid, event.name, event.args),)
+    return skeleton
 
 
-def canonical_skeleton(log: Log, cpus: CpuMap) -> Tuple:
-    """Per-CPU scheduling skeletons (the interleaving quotient).
+sched_projection = ReplayFn("Rsched_projection", lambda: (), _sched_event_step)
+"""``sched_projection(log)``: the scheduling-event skeleton of a log
+(queue traffic erased)."""
 
-    Cross-CPU order of scheduling events is interleaving noise: the two
-    layers take their scheduling steps at different granularities (one
-    atomic event vs. a run of queue operations), so the same behaviour
-    appears under differently-ordered hardware schedules.  What is
-    semantically binding is (a) the order of events *within* each CPU and
-    (b) the sleep/wakeup pairing, which the ``wakeup`` event's woken-
-    thread argument records explicitly.  Logs with equal canonical
-    skeletons are permutations of each other's commuting events.
-    """
-    per_cpu: Dict[int, List[Tuple]] = {cpu: [] for cpu in cpus.cpus}
-    for event in log:
-        if event.name in SCHED_EVENTS:
-            per_cpu[cpus.cpu_of(event.tid)].append(
-                (event.tid, event.name, event.args)
-            )
-    return tuple((cpu, tuple(per_cpu[cpu])) for cpu in sorted(per_cpu))
+
+def _skeleton_init(cpus: CpuMap) -> Dict[int, Tuple]:
+    return {cpu: () for cpu in cpus.cpus}
+
+
+def _skeleton_step(per_cpu: Dict[int, Tuple], event: Event, cpus: CpuMap) -> Dict[int, Tuple]:
+    if event.name not in SCHED_EVENTS:
+        return per_cpu
+    cpu = cpus.cpu_of(event.tid)
+    return {**per_cpu, cpu: _sched_event_step(per_cpu[cpu], event)}
+
+
+canonical_skeleton = ReplayFn(
+    "Rskeleton", _skeleton_init, _skeleton_step, lambda per_cpu: tuple(sorted(per_cpu.items()))
+)
+"""``canonical_skeleton(log, cpus)``: per-CPU scheduling skeletons (the
+interleaving quotient).
+
+Cross-CPU order of scheduling events is interleaving noise: the two
+layers take their scheduling steps at different granularities (one
+atomic event vs. a run of queue operations), so the same behaviour
+appears under differently-ordered hardware schedules.  What is
+semantically binding is (a) the order of events *within* each CPU and
+(b) the sleep/wakeup pairing, which the ``wakeup`` event's woken-
+thread argument records explicitly.  Logs with equal canonical
+skeletons are permutations of each other's commuting events.
+"""
 
 
 class ThreadChoiceScheduler(ThreadGameScheduler):
@@ -105,9 +115,6 @@ class ThreadChoiceScheduler(ThreadGameScheduler):
         self.max_choice_depth = max_choice_depth
 
     def pick(self, log: Log, ready: FrozenSet[int]) -> int:
-        from ..core.machine import NeedChoice
-        from ..objects.sched import NIL_THREAD, idle_next, replay_sched
-
         states = replay_sched(log, self.cpus, self.init_current)
         runnable: Dict[int, int] = {}
         for cpu, state in states.items():
@@ -166,7 +173,6 @@ def enumerate_thread_games(
     counts; when omitted and observability is on, a ``"thread_games"``
     axis record is published to the process-wide coverage registry.
     """
-    from ..core.machine import NeedChoice
 
     own_coverage = coverage is None and obs_enabled()
     if own_coverage:

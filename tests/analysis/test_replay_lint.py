@@ -81,14 +81,21 @@ class TestShippedReplayFns:
     def test_all_registered_replay_fns_clean(self):
         # Import the shipped objects so their replay functions register.
         import repro.machine.atomics  # noqa: F401
+        import repro.objects.mcs_lock  # noqa: F401
+        import repro.objects.qlock  # noqa: F401
+        import repro.objects.sched  # noqa: F401
         import repro.objects.shared_queue  # noqa: F401
         import repro.objects.ticket_lock  # noqa: F401
+        import repro.threads.linking  # noqa: F401
 
         shipped = [
             rf for rf in all_replay_fns()
             if getattr(rf._init, "__module__", "").startswith("repro.")
         ]
-        assert shipped
+        assert {
+            "Ratomic", "Rlock", "Rmcs", "Rqlock", "Rqueue", "Rsched",
+            "Rsched_projection", "Rshared", "Rskeleton", "Rslpq", "Rticket",
+        } <= {rf.name for rf in shipped}
         dirty = {
             rf.name: _rules(lint_replay_fn(rf))
             for rf in shipped

@@ -241,3 +241,34 @@ class TestCSource:
         text = pretty_unit(ticket_lock_unit())
         assert "void acq(uint b)" in text
         assert "fai" in text
+
+
+class TestReplayWork:
+    def test_ticket_stack_steps_a_tenth_of_the_log(self, monkeypatch):
+        """Deterministic replay work of the whole ticket-lock stack.
+
+        Every replay call resumes from the buffer memo, so the events its
+        folds step are at most a tenth of the summed length of the logs
+        they were called on (what folding from scratch would visit).
+        """
+        from repro.core.replay import ReplayFn, replay_cache_info
+
+        for var in ("REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_CACHE"):
+            monkeypatch.delenv(var, raising=False)
+        visited = [0]
+        call = ReplayFn.__call__
+
+        def counting_call(self, log, *params):
+            visited[0] += len(log)
+            return call(self, log, *params)
+
+        def stepped():
+            return sum(i["events_stepped"] for i in replay_cache_info().values())
+
+        monkeypatch.setattr(ReplayFn, "__call__", counting_call)
+        before = stepped()
+        stack = certify_ticket_lock([1, 2], lock="replay_work")
+        work = stepped() - before
+        assert stack.composed.certificate.ok
+        assert visited[0] > 100_000
+        assert 0 < work <= visited[0] // 10

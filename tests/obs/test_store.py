@@ -358,6 +358,16 @@ class TestIngestBench:
         assert runs[0]["wall_s"] == 1.5
         assert store.run_metrics(runs[0])["bench_demo.py::test_x"] == 1.5
 
+    def test_ingest_records_work_counts(self, tmp_path):
+        path = str(tmp_path / "ledger")
+        payload = _bench_payload(1.5)
+        payload["tests"][0]["extra"] = {"work": {"replay_events_stepped": 120}}
+        store.ingest_bench(path, payload)
+        run = store.RunLedger(path).runs()[0]
+        assert store.run_metrics(run)["work.replay_events_stepped"] == 120.0
+        # Work counts are informational series, never timing gates.
+        assert not store._gateable("work.replay_events_stepped")
+
     def test_ingest_from_file(self, tmp_path):
         bench = tmp_path / "BENCH_demo.json"
         bench.write_text(json.dumps(_bench_payload(0.5)))

@@ -139,6 +139,16 @@ class TestCanonical:
         assert canonical_fingerprint(a) == canonical_fingerprint(b)
         assert canonical_fingerprint(a) != canonical_fingerprint(c)
 
+    def test_replay_memo_and_counters_excluded(self):
+        # Replaying fills a buffer's memo and bumps the fold's counters;
+        # neither may reach a content address.
+        from repro.core import LogBuffer, replay_shared
+
+        buffer = LogBuffer([Event(1, "bump")])
+        before = canonical_fingerprint((replay_shared, buffer))
+        replay_shared(buffer.snapshot(), "b")
+        assert canonical_fingerprint((replay_shared, buffer)) == before
+
     def test_cross_process_stability(self):
         # No hash() salting, no addresses: a worker process computes the
         # same fingerprint as the parent.
