@@ -28,6 +28,7 @@ from repro.objects.ticket_lock import FAI, PUSH, n_cell
 from repro.objects.mcs_lock import certify_mcs_lock
 from repro.objects.shared_queue import certify_shared_queue
 from repro.parallel.cache import incremental_collector
+from repro.parallel.canonical import fingerprint_info
 
 SPEEDUP_FLOOR = 5.0
 
@@ -82,9 +83,11 @@ def test_incremental_speedup(benchmark, tmp_path_factory, monkeypatch):
             _workload()
         return counts
 
+    before = fingerprint_info()
     started = time.perf_counter()
     warm_counts = benchmark.pedantic(incremental_run, rounds=1, iterations=1)
     incremental_s = time.perf_counter() - started
+    after = fingerprint_info()
 
     speedup = cold_s / incremental_s if incremental_s else float("inf")
     rows = [
@@ -103,6 +106,12 @@ def test_incremental_speedup(benchmark, tmp_path_factory, monkeypatch):
         warm_reused=warm_counts["reused"],
         warm_rechecked=warm_counts["rechecked"],
         warm_slice_misses=warm_counts["slice_misses"],
+        # Deterministic work counts of the incremental run: the ledger's
+        # timer-free series.
+        work={
+            "fingerprint_nodes": after["nodes_expanded"] - before["nodes_expanded"],
+            "fingerprint_bytes": after["bytes_hashed"] - before["bytes_hashed"],
+        },
     )
     print_table(
         "Incremental re-verification — edit one ticket-lock primitive",

@@ -158,19 +158,35 @@ def suppressed_rules_in_source(source: str) -> frozenset:
     return frozenset(allowed)
 
 
+#: ``suppressed_rules`` answers by code-object identity: ``id`` ->
+#: ``(code, rules)``, holding the code so an ``id`` is never reused.
+#: Bounded and cleared wholesale when full (every edit compiles a fresh
+#: code object).
+_SUPPRESSED: Dict[int, Tuple[Any, frozenset]] = {}
+_SUPPRESSED_LIMIT = 4096
+
+
 def suppressed_rules(fn: Any) -> frozenset:
     """Rule ids suppressed for the function (or code object) ``fn``.
 
-    Reads the function's own source via :mod:`inspect`; unreadable
-    source (REPL definitions, exec'd code) suppresses nothing.
+    Reads the function's own source via :mod:`inspect`, once per code
+    object; unreadable source (REPL definitions, exec'd code)
+    suppresses nothing.
     """
     import inspect
 
+    code = getattr(inspect.unwrap(fn), "__code__", fn)
+    entry = _SUPPRESSED.get(id(code))
+    if entry is not None and entry[0] is code:
+        return entry[1]
     try:
-        source = inspect.getsource(fn)
+        rules = suppressed_rules_in_source(inspect.getsource(fn))
     except (OSError, TypeError):
-        return frozenset()
-    return suppressed_rules_in_source(source)
+        rules = frozenset()
+    if len(_SUPPRESSED) >= _SUPPRESSED_LIMIT:
+        _SUPPRESSED.clear()
+    _SUPPRESSED[id(code)] = (code, rules)
+    return rules
 
 
 def apply_suppressions(

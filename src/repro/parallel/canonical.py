@@ -5,7 +5,7 @@ a rule application is keyed by *what was verified*, not by object
 identity.  This module reduces an arbitrary engine input graph — layer
 interfaces, modules, simulation relations, bounds, scenarios, even the
 Python functions implementing specs and invariants — to a stable SHA-256
-digest by emitting a canonical token stream:
+digest of a canonical token stream (each token followed by a NUL byte):
 
 * Functions fingerprint by their compiled code: bytecode, constants
   (recursively, including nested code objects), names, argument
@@ -16,13 +16,24 @@ digest by emitting a canonical token stream:
   excluding per-instance caches (``_memo``, ``_hash``, ...) and
   certificate ``provenance`` — run-dependent state never reaches the key.
 * Containers fingerprint structurally; sets and dict items are ordered
-  by element digest, so iteration order is irrelevant.
+  by element digest (dict entries whose keys digest equally by the
+  value's digest), so iteration order is irrelevant.
 * Cycles are cut with ``ref:<n>`` back-references to the visitation
   index of an *ancestor on the current path*, so recursive structures
   (interfaces referring to each other) terminate deterministically.
-  Acyclic sharing is deliberately re-expanded: whether two equal
+  Acyclic sharing is re-expanded *in the bytes*: whether two equal
   subobjects are one aliased object or two copies (event interning
   makes this run-dependent) must not change the fingerprint.
+
+The walk itself expands a shared subtree once per call.  One writer
+appends every token to one ``bytearray`` and remembers, per object, the
+byte range its expansion wrote; a later visit copies that range and
+advances the visitation counter by the nodes it covered.  This is sound
+only for expansions that emitted no ``ref:`` token (sub-digests
+included): such a subtree reaches no cycle, so its bytes depend neither
+on the path nor on the counter.  The memo lives for one top-level call
+(objects mutate between calls) and holds each object, so an ``id`` is
+never reused while its entry exists.
 
 **What the fingerprint does not cover:** module-level globals referenced
 by name from inside a function body (the walk follows closures and
@@ -40,6 +51,8 @@ import hashlib
 import types
 from typing import Any, Dict
 
+from ..obs.metrics import inc
+
 #: Per-instance caches and run-dependent attributes that must never
 #: influence a content address.
 _EXCLUDED_ATTRS = {
@@ -51,153 +64,175 @@ _EXCLUDED_ATTRS = {
     "provenance",  # Certificate provenance: wall times, metrics, workers
 }
 
+#: Per-process work tallies of every call (see :func:`fingerprint_info`).
+_INFO = dict.fromkeys(("calls", "nodes_expanded", "memo_reused", "bytes_hashed"), 0)
+
 
 def canonical_fingerprint(obj: Any) -> str:
     """The SHA-256 hex digest of ``obj``'s canonical token stream."""
-    hasher = hashlib.sha256()
-    for token in _tokens(obj, {}, [0]):
-        hasher.update(token)
-        hasher.update(b"\x00")
-    return hasher.hexdigest()
+    writer = _Writer()
+    out = bytearray()
+    writer.write(obj, out, {}, 0)
+    digest = writer.sha256(out).hexdigest()
+    _INFO["calls"] += 1
+    for name, count in (("nodes_expanded", writer.expanded),
+                        ("memo_reused", writer.reused), ("bytes_hashed", writer.hashed)):
+        _INFO[name] += count
+        inc("canonical." + name, count)
+    return digest
 
 
-def _sub_digest(obj: Any, seen: Dict[int, int], counter) -> bytes:
-    """Digest of one element, used to order sets and dict items."""
-    hasher = hashlib.sha256()
-    for token in _tokens(obj, seen, counter):
-        hasher.update(token)
-        hasher.update(b"\x00")
-    return hasher.digest()
+def fingerprint_info() -> Dict[str, int]:
+    """Per-process calls, nodes expanded, memo reuses and bytes hashed."""
+    return dict(_INFO)
 
 
-def _tokens(obj: Any, seen: Dict[int, int], counter):
-    """Yield the canonical byte tokens of ``obj`` (depth-first)."""
-    if obj is None or obj is True or obj is False:
-        yield f"atom:{obj!r}".encode()
-        return
-    kind = type(obj)
-    if kind is int:
-        yield f"int:{obj}".encode()
-        return
-    if kind is float:
-        yield f"float:{obj!r}".encode()
-        return
-    if kind is str:
-        yield b"str:" + obj.encode("utf-8", "surrogatepass")
-        return
-    if kind is bytes:
-        yield b"bytes:" + obj
-        return
+class _Writer:
+    """The token writer of one top-level call, with its subtree memo."""
 
-    # Everything below may recurse.  ``seen`` holds only the ancestors
-    # of the *current path* (entries are removed on exit), so ``ref``
-    # fires for true cycles while shared acyclic objects re-expand —
-    # aliasing (object identity) never influences the fingerprint.
-    oid = id(obj)
-    if oid in seen:
-        yield f"ref:{seen[oid]}".encode()
-        return
-    seen[oid] = counter[0]
-    counter[0] += 1
-    try:
-        yield from _structure_tokens(obj, kind, seen, counter)
-    finally:
-        del seen[oid]
+    def __init__(self) -> None:
+        self.memo: Dict[int, tuple] = {}  # id -> (obj, buffer, start, end, nodes)
+        self.refs = self.expanded = self.reused = self.hashed = 0
 
+    def sha256(self, buffer: bytearray):
+        self.hashed += len(buffer)
+        return hashlib.sha256(buffer)
 
-def _structure_tokens(obj: Any, kind: type, seen: Dict[int, int], counter):
-    if kind in (tuple, list):
-        yield f"seq:{len(obj)}".encode()
-        for item in obj:
-            yield from _tokens(item, seen, counter)
-        return
-    if kind in (set, frozenset):
-        # Each element digests against a *copy* of the visited map, so
-        # iteration order cannot leak into back-reference indices; equal
-        # sets therefore digest equally regardless of build order.
-        yield f"set:{len(obj)}".encode()
-        base = counter[0]
-        for digest in sorted(
-            _sub_digest(item, dict(seen), [base]) for item in obj
-        ):
-            yield digest
-        return
-    if kind is dict:
-        yield f"dict:{len(obj)}".encode()
-        base = counter[0]
-        entries = sorted(
-            (_sub_digest(key, dict(seen), [base]), key, value)
-            for key, value in obj.items()
-        )
-        for key_digest, _key, value in entries:
-            yield key_digest
-            yield from _tokens(value, seen, counter)
-        return
+    def digest(self, obj: Any, seen: Dict[int, int], n: int) -> bytes:
+        """Digest of one element, used to order sets and dict items."""
+        sub = bytearray()
+        self.write(obj, sub, seen, n)
+        return self.sha256(sub).digest()
 
-    if isinstance(obj, types.FunctionType):
-        yield f"fn:{obj.__qualname__}".encode()
-        yield from _tokens(obj.__defaults__, seen, counter)
-        if obj.__closure__:
-            yield f"closure:{len(obj.__closure__)}".encode()
-            for cell in obj.__closure__:
-                try:
-                    contents = cell.cell_contents
-                except ValueError:  # empty cell (recursive def)
-                    contents = "<empty-cell>"
-                yield from _tokens(contents, seen, counter)
-        yield from _code_tokens(obj.__code__, seen, counter)
-        return
-    if isinstance(obj, types.CodeType):
-        yield from _code_tokens(obj, seen, counter)
-        return
-    if isinstance(obj, types.MethodType):
-        yield f"method:{obj.__func__.__qualname__}".encode()
-        yield from _tokens(obj.__self__, seen, counter)
-        return
-    if isinstance(obj, type):
-        yield f"type:{obj.__module__}.{obj.__qualname__}".encode()
-        return
+    def write(self, obj: Any, out: bytearray, seen: Dict[int, int], n: int) -> int:
+        """Append ``obj``'s tokens to ``out``; returns the next visitation index."""
+        if obj is None or obj is True or obj is False:
+            out += f"atom:{obj!r}\x00".encode()
+            return n
+        kind = type(obj)
+        if kind is int:
+            out += f"int:{obj}\x00".encode()
+        elif kind is float:
+            out += f"float:{obj!r}\x00".encode()
+        elif kind is str:
+            out += b"str:" + obj.encode("utf-8", "surrogatepass") + b"\x00"
+        elif kind is bytes:
+            out += b"bytes:" + obj + b"\x00"
+        else:
+            # ``seen`` holds only the ancestors of the current path, so
+            # ``ref`` fires for true cycles and shared acyclic objects
+            # re-expand (or replay their memoised bytes).
+            oid = id(obj)
+            if oid in seen:
+                self.refs += 1
+                out += f"ref:{seen[oid]}\x00".encode()
+                return n
+            hit = self.memo.get(oid)
+            if hit is not None:
+                _obj, buffer, start, end, nodes = hit
+                out += buffer[start:end]
+                self.reused += 1
+                return n + nodes
+            seen[oid] = n
+            start, refs = len(out), self.refs
+            self.expanded += 1
+            end = self._structure(obj, kind, out, seen, n + 1)
+            del seen[oid]
+            if self.refs == refs:
+                self.memo[oid] = (obj, out, start, len(out), end - n)
+            return end
+        return n
 
-    type_tag = f"{kind.__module__}.{kind.__qualname__}"
+    def _structure(self, obj: Any, kind: type, out: bytearray, seen, n: int) -> int:
+        write = self.write
+        if kind is tuple or kind is list:
+            out += f"seq:{len(obj)}\x00".encode()
+            for item in obj:
+                n = write(item, out, seen, n)
+            return n
+        if kind is set or kind is frozenset:
+            # Elements digest from the same path and counter base, so
+            # iteration order cannot leak into back-reference indices.
+            out += f"set:{len(obj)}\x00".encode()
+            for digest in sorted(self.digest(item, seen, n) for item in obj):
+                out += digest + b"\x00"
+            return n
+        if kind is dict:
+            out += f"dict:{len(obj)}\x00".encode()
+            entries = sorted(
+                ((self.digest(key, seen, n), value) for key, value in obj.items()),
+                key=lambda entry: entry[0],
+            )
+            if len({key_digest for key_digest, _ in entries}) < len(entries):
+                # Distinct keys with equal state: order ties by value.
+                entries.sort(key=lambda entry: (entry[0], self.digest(entry[1], seen, n)))
+            for key_digest, value in entries:
+                out += key_digest + b"\x00"
+                n = write(value, out, seen, n)
+            return n
 
-    # Log is a __slots__ class; its content is exactly its event tuple.
-    if type_tag == "repro.core.log.Log":
-        yield b"Log"
-        yield from _tokens(obj.events, seen, counter)
-        return
+        if isinstance(obj, types.FunctionType):
+            out += f"fn:{obj.__qualname__}\x00".encode()
+            n = write(obj.__defaults__, out, seen, n)
+            if obj.__closure__:
+                out += f"closure:{len(obj.__closure__)}\x00".encode()
+                for cell in obj.__closure__:
+                    try:
+                        contents = cell.cell_contents
+                    except ValueError:  # empty cell (recursive def)
+                        contents = "<empty-cell>"
+                    n = write(contents, out, seen, n)
+            return self._code(obj.__code__, out, seen, n)
+        if isinstance(obj, types.CodeType):
+            return self._code(obj, out, seen, n)
+        if isinstance(obj, types.MethodType):
+            out += f"method:{obj.__func__.__qualname__}\x00".encode()
+            return write(obj.__self__, out, seen, n)
+        if isinstance(obj, type):
+            out += f"type:{obj.__module__}.{obj.__qualname__}\x00".encode()
+            return n
 
-    state = getattr(obj, "__dict__", None)
-    if state is not None:
-        items = sorted(
-            (name, value)
-            for name, value in state.items()
-            if name not in _EXCLUDED_ATTRS
-        )
-        yield f"obj:{type_tag}:{len(items)}".encode()
-        for name, value in items:
-            yield b"attr:" + name.encode()
-            yield from _tokens(value, seen, counter)
-        return
+        type_tag = f"{kind.__module__}.{kind.__qualname__}"
 
-    slots = getattr(kind, "__slots__", None)
-    if slots is not None:
-        names = sorted(n for n in slots if n not in _EXCLUDED_ATTRS)
-        yield f"slots:{type_tag}:{len(names)}".encode()
-        for name in names:
-            yield b"attr:" + name.encode()
-            yield from _tokens(getattr(obj, name, None), seen, counter)
-        return
+        # Log is a __slots__ class; its content is exactly its event tuple.
+        if type_tag == "repro.core.log.Log":
+            out += b"Log\x00"
+            return write(obj.events, out, seen, n)
 
-    # Last resort: the type alone.  Never repr() — it embeds addresses.
-    yield f"opaque:{type_tag}".encode()
+        state = getattr(obj, "__dict__", None)
+        if state is not None:
+            items = sorted(
+                (name, value)
+                for name, value in state.items()
+                if name not in _EXCLUDED_ATTRS
+            )
+            out += f"obj:{type_tag}:{len(items)}\x00".encode()
+            for name, value in items:
+                out += b"attr:" + name.encode() + b"\x00"
+                n = write(value, out, seen, n)
+            return n
 
+        slots = getattr(kind, "__slots__", None)
+        if slots is not None:
+            names = sorted(name for name in slots if name not in _EXCLUDED_ATTRS)
+            out += f"slots:{type_tag}:{len(names)}\x00".encode()
+            for name in names:
+                out += b"attr:" + name.encode() + b"\x00"
+                n = write(getattr(obj, name, None), out, seen, n)
+            return n
 
-def _code_tokens(code: types.CodeType, seen: Dict[int, int], counter):
-    yield f"code:{code.co_name}:{code.co_argcount}:{code.co_kwonlyargcount}".encode()
-    yield b"bytecode:" + code.co_code
-    yield from _tokens(code.co_names, seen, counter)
-    yield from _tokens(code.co_varnames, seen, counter)
-    yield from _tokens(code.co_freevars, seen, counter)
-    yield f"consts:{len(code.co_consts)}".encode()
-    for const in code.co_consts:
-        yield from _tokens(const, seen, counter)
+        # Last resort: the type alone.  Never repr() — it embeds addresses.
+        out += f"opaque:{type_tag}\x00".encode()
+        return n
+
+    def _code(self, code: types.CodeType, out: bytearray, seen, n: int) -> int:
+        write = self.write
+        out += f"code:{code.co_name}:{code.co_argcount}:{code.co_kwonlyargcount}\x00".encode()
+        out += b"bytecode:" + code.co_code + b"\x00"
+        n = write(code.co_names, out, seen, n)
+        n = write(code.co_varnames, out, seen, n)
+        n = write(code.co_freevars, out, seen, n)
+        out += f"consts:{len(code.co_consts)}\x00".encode()
+        for const in code.co_consts:
+            n = write(const, out, seen, n)
+        return n

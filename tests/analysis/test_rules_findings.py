@@ -11,6 +11,7 @@ from repro.analysis.findings import (
     dedupe,
     finding,
     sort_findings,
+    suppressed_rules,
     suppressed_rules_in_source,
 )
 from repro.analysis.rules import (
@@ -101,3 +102,40 @@ class TestSuppressionComments:
 
     def test_no_false_positives(self):
         assert suppressed_rules_in_source("# allow everything\n") == set()
+
+
+def _allowing():  # repro: allow(REPRO-L105)
+    return None
+
+
+class TestSuppressedRulesMemo:
+    def test_source_read_once_per_code_object(self, monkeypatch):
+        import functools
+        import inspect
+
+        reads = []
+        getsource = inspect.getsource
+
+        def counting(obj):
+            reads.append(obj)
+            return getsource(obj)
+
+        monkeypatch.setattr(inspect, "getsource", counting)
+
+        @functools.wraps(_allowing)
+        def wrapper():
+            return _allowing()
+
+        first = suppressed_rules(_allowing)
+        assert first == {"REPRO-L105"}
+        # The wrapper's source is the wrapped function's: same answer,
+        # and no second read.
+        assert suppressed_rules(wrapper) == first
+        assert suppressed_rules(_allowing.__code__) == first
+        assert len(reads) == 1
+
+    def test_unreadable_source_suppresses_nothing(self):
+        namespace = {}
+        exec("def f():  # repro: allow(REPRO-L105)\n    return 1\n", namespace)
+        assert suppressed_rules(namespace["f"]) == frozenset()
+        assert suppressed_rules(namespace["f"]) == frozenset()
