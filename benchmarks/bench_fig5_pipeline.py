@@ -18,6 +18,7 @@ import time
 import pytest
 
 from conftest import print_table, record_bench
+from repro.clight.semantics import clight_info
 from repro.core import SimConfig, check_soundness
 from repro.core.replay import replay_cache_info
 from repro.compiler import compile_and_validate
@@ -29,6 +30,7 @@ from repro.objects.ticket_lock import (
 )
 from repro.machine import lx86_interface
 from repro.objects.ticket_lock import lock_guarantee, lock_rely
+from repro.reduce.dpor import scheduler_info
 
 
 def run_pipeline():
@@ -88,10 +90,14 @@ def replay_events_stepped() -> int:
 
 def test_fig5_full_pipeline(benchmark):
     stepped = replay_events_stepped()
+    stmts = clight_info()["stmts"]
+    full_picks = scheduler_info()["full_picks"]
     stages, stack, queue, compile_cert, soundness = benchmark.pedantic(
         run_pipeline, rounds=1, iterations=1
     )
     stepped = replay_events_stepped() - stepped
+    stmts = clight_info()["stmts"] - stmts
+    full_picks = scheduler_info()["full_picks"] - full_picks
     rows = []
     total_obligations = 0
     for label, seconds, result in stages:
@@ -123,7 +129,11 @@ def test_fig5_full_pipeline(benchmark):
             "soundness": certificate_digest(soundness),
         },
         # Deterministic work counts: the ledger's timer-free series.
-        work={"replay_events_stepped": stepped},
+        work={
+            "replay_events_stepped": stepped,
+            "clight_stmts": stmts,
+            "scheduler_full_picks": full_picks,
+        },
     )
     print_table(
         "Fig. 5 — the layer-verification pipeline",

@@ -41,7 +41,13 @@ from ..reduce import (
     contribute,
     current_axes,
 )
-from ..reduce.dpor import DeferRun, PruneRun, ReducingScheduler, TranspositionTable
+from ..reduce.dpor import (
+    Decision,
+    DeferRun,
+    PruneRun,
+    ReducingScheduler,
+    TranspositionTable,
+)
 from ..reduce.laws import FRAME, STRENGTHEN_GUARANTEE, frame_allows_skip
 from ..reduce.stats import tally_law
 from .context import QUERY, ExecutionContext
@@ -488,8 +494,13 @@ def _explore_reduced(
     runs = 0
     pruned = 0
     table = TranspositionTable(stats) if "transpo" in axes else None
-    while stack:
-        prefix = stack.pop()
+    # Bare prefixes (the root, a frontier subtree) replay their script;
+    # a sibling carries the decision its parent recorded and resumes it.
+    entries: List[Tuple[Tuple[int, ...], Optional[Decision]]] = [
+        (prefix, None) for prefix in stack
+    ]
+    while entries:
+        prefix, decision = entries.pop()
         runs += 1
         heartbeat("machine.schedules", explored=runs, budget=max_runs)
         if runs > max_runs:
@@ -500,7 +511,7 @@ def _explore_reduced(
         scheduler = ReducingScheduler(
             prefix, axes, stats, table=table,
             frontier_depth=frontier_depth, redundancy=redundancy,
-            invisible=invisible,
+            invisible=invisible, resume=decision,
         )
         try:
             result = run_one(scheduler)
@@ -513,11 +524,14 @@ def _explore_reduced(
         else:
             plan.append((result, None))
         scheduler.finalize()
+        if obs_enabled():
+            inc("reduce.full_picks", scheduler.full_picks)
+            inc("reduce.resumed_runs", int(scheduler.resumed))
         base = tuple(scheduler.picks)
-        for depth, siblings in scheduler.branches:
+        for depth, siblings, sibling_decision in scheduler.branches:
             stem = base[:depth]
             for tid in sorted(siblings, reverse=True):
-                stack.append(stem + (tid,))
+                entries.append((stem + (tid,), sibling_decision))
     return plan, runs, pruned
 
 

@@ -60,6 +60,7 @@ _EXCLUDED_ATTRS = {
     "_hash",       # cached Event/Log hashes (per-process salted)
     "_snapshot",   # LogBuffer snapshot cache
     "_stats",      # ReplayFn hit/miss/events-stepped counters
+    "_compiled",   # compiled mini-C bodies of a clight Interp
     "_lint_memo",  # per-interface lint scratch cache (repro.analysis)
     "provenance",  # Certificate provenance: wall times, metrics, workers
 }

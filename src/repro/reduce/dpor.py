@@ -83,7 +83,7 @@ Static independence seeds (``static-indep``)
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .fingerprint import extend_chain, state_fingerprint
 from .stats import ReductionStats
@@ -119,17 +119,66 @@ class TranspositionTable:
         return False
 
 
+class ResumeDiverged(RuntimeError):
+    """A resumed sibling run did not retrace its parent's recorded prefix.
+
+    Resuming assumes deterministic players: re-executing the parent's
+    schedule must rebuild the log and ready set the parent had at the
+    decision.  A player whose behaviour varies between runs breaks
+    that assumption (and with it the reduction's soundness argument),
+    so the resumed run stops with this error instead of guessing.
+    """
+
+
+class Decision:
+    """The scheduler state at a decision that left siblings to explore.
+
+    Recorded by the run that took the decision's first branch, so a
+    sibling run can *resume* there: replay the parent's per-round
+    schedule in O(1) per round and restore this state at round
+    ``round`` instead of re-deriving chains, sleep sets and step counts
+    along the prefix.
+    """
+
+    __slots__ = ("round", "trail", "log_len", "chain", "counts", "sleep", "ready")
+
+    def __init__(self, round_index, trail, log_len, chain, counts, sleep, ready):
+        self.round = round_index
+        #: The parent's per-round schedule (only ``trail[:round]`` is read).
+        self.trail = trail
+        self.log_len = log_len
+        self.chain = chain
+        self.counts = counts
+        self.sleep = sleep
+        self.ready = ready
+
+
+#: Per-process scheduler work (see :func:`scheduler_info`).
+_INFO = dict.fromkeys(("picks", "full_picks", "resumed_runs"), 0)
+
+
+def scheduler_info() -> Dict[str, int]:
+    """Reducing-scheduler rounds: all picks, full-bookkeeping picks, resumed runs."""
+    return dict(_INFO)
+
+
 class ReducingScheduler:
     """Scripted scheduler with path extension, sleep sets, transposition.
 
     Follows ``script`` exactly (the recorded decision prefix), then
     keeps choosing the smallest awake ready participant instead of
     raising ``NeedChoice`` — recording sibling branches in ``branches``
-    as ``(depth, siblings)`` pairs, where ``depth`` indexes into
-    ``picks``.  Only multi-candidate rounds consume a script entry or
-    record a pick; rounds forced by a singleton ready set or by sleep
-    are replayed positionally, which is what lets a recorded prefix
-    rebuild the very sleep sets that forced them.
+    as ``(depth, siblings, decision)`` triples, where ``depth`` indexes
+    into ``picks`` and ``decision`` is the :class:`Decision` state a
+    sibling run resumes from.  Only multi-candidate rounds consume a
+    script entry or record a pick; rounds forced by a singleton ready
+    set or by sleep are replayed positionally, which is what lets a
+    recorded prefix rebuild the very sleep sets that forced them.
+
+    With ``resume`` (the decision whose sibling ``script[-1]`` is) the
+    rounds before the decision return the parent's recorded tids, and
+    the decision round restores the recorded state and takes the
+    sibling's branch exactly as script replay would have.
 
     Duck-typed against :class:`repro.core.machine.GameScheduler`; it
     lives here so the reduction engine carries no import of the machine.
@@ -138,6 +187,7 @@ class ReducingScheduler:
     __slots__ = (
         "script", "cursor", "dpor", "table", "stats", "frontier_depth",
         "redundancy", "picks", "counts", "branches", "sleep", "invisible",
+        "trail", "full_picks", "resumed", "_resume", "_replayed",
         "_sleep_next", "_pending", "_scanned", "_chain",
     )
 
@@ -150,6 +200,7 @@ class ReducingScheduler:
         frontier_depth: Optional[int] = None,
         redundancy=None,
         invisible: FrozenSet[int] = frozenset(),
+        resume: Optional[Decision] = None,
     ):
         self.script = tuple(script)
         self.cursor = 0
@@ -165,19 +216,44 @@ class ReducingScheduler:
         self.picks: List[int] = list(script)
         #: Per-participant scheduled-step counts (every round).
         self.counts: Dict[int, int] = {}
-        #: Resolved sibling groups: ``(depth, [sibling tids])``.
-        self.branches: List[Tuple[int, List[int]]] = []
+        #: Resolved sibling groups: ``(depth, [sibling tids], decision)``.
+        self.branches: List[Tuple[int, List[int], Optional[Decision]]] = []
         #: Participants whose pending step commutes into an explored
         #: subtree; excluded from scheduling until a non-silent step.
         self.sleep: FrozenSet[int] = frozenset()
+        #: The tid scheduled at every round so far.
+        self.trail: List[int] = []
+        #: Rounds that derived the scheduler state from the log.
+        self.full_picks = 0
+        #: Whether this run resumed a recorded decision (see ``resume``).
+        self.resumed = False
+        #: The decision to resume at, until it is reached.
+        self._resume = resume
+        #: Rounds replayed from the resumed decision's trail.
+        self._replayed = 0
         #: Sleep set to install if the step just taken stays silent.
         self._sleep_next: Optional[FrozenSet[int]] = None
-        #: Unresolved last decision: ``(chosen, siblings, depth, chain)``.
-        self._pending: Optional[Tuple[int, List[int], int, int]] = None
+        #: Unresolved last decision:
+        #: ``(chosen, siblings, depth, chain, decision)``.
+        self._pending: Optional[Tuple[int, List[int], int, int, Optional[Decision]]] = None
         self._scanned = 0
         self._chain = 0
 
     def pick(self, log, ready: FrozenSet[int]) -> int:
+        resume = self._resume
+        if resume is not None:
+            index = self._replayed
+            if index < resume.round:
+                tid = resume.trail[index]
+                if tid not in ready:
+                    raise ResumeDiverged(
+                        f"round {index}: recorded tid {tid} is not ready "
+                        f"(ready {sorted(ready)})"
+                    )
+                self._replayed = index + 1
+                return tid
+            return self._restore(log, ready, resume)
+        self.full_picks += 1
         chain = self._chain
         for event in log.suffix_after(self._scanned):
             if not event.is_sched():
@@ -214,17 +290,9 @@ class ReducingScheduler:
                     # pick deterministically, as ScriptScheduler does.
                     tid = candidates[0]
                 else:
-                    # Rebuild the sleep set along the recorded path:
-                    # siblings explored before ``tid`` go (or stay)
-                    # asleep while its step is silent.  Invisible
-                    # participants were never explored as siblings
-                    # (deferral dropped them), so they must stay awake —
-                    # their completion happens inside this subtree.
-                    self._sleep_next = self.sleep | frozenset(
-                        t for t in candidates
-                        if t < tid and t not in self.invisible
-                    )
+                    self._branch_sleep(tid, candidates)
             self.counts[tid] = self.counts.get(tid, 0) + 1
+            self.trail.append(tid)
             return tid
         if self.table is not None and self.table.seen(
             state_fingerprint(
@@ -255,13 +323,54 @@ class ReducingScheduler:
                 if len(kept) != len(siblings):
                     self.stats.prune(STATIC_INDEP, len(siblings) - len(kept))
                 siblings = kept
+            decision = self._decision(ready) if siblings else None
             if self.dpor:
-                self._pending = (tid, siblings, len(self.picks), chain)
+                self._pending = (tid, siblings, len(self.picks), chain, decision)
                 self._sleep_next = self.sleep
             elif siblings:
-                self.branches.append((len(self.picks), siblings))
+                self.branches.append((len(self.picks), siblings, decision))
             self.picks.append(tid)
         self.counts[tid] = self.counts.get(tid, 0) + 1
+        self.trail.append(tid)
+        return tid
+
+    def _branch_sleep(self, tid: int, candidates: Iterable[int]) -> None:
+        # Rebuild the sleep set along the recorded path: siblings explored
+        # before ``tid`` go (or stay) asleep while its step is silent.
+        # Invisible participants were never explored as siblings (deferral
+        # dropped them), so they must stay awake — their completion
+        # happens inside this subtree.
+        self._sleep_next = self.sleep | frozenset(
+            t for t in candidates if t < tid and t not in self.invisible
+        )
+
+    def _decision(self, ready: FrozenSet[int]) -> Decision:
+        """This round's state, before its pick is counted."""
+        return Decision(
+            len(self.trail), self.trail, self._scanned, self._chain,
+            dict(self.counts), self.sleep, ready,
+        )
+
+    def _restore(self, log, ready: FrozenSet[int], decision: Decision) -> int:
+        """Reach the resumed decision: restore its state, take ``script[-1]``."""
+        if len(log) != decision.log_len or ready != decision.ready:
+            raise ResumeDiverged(
+                f"round {decision.round}: log length {len(log)} and ready "
+                f"{sorted(ready)} differ from the recorded "
+                f"{decision.log_len} and {sorted(decision.ready)}"
+            )
+        self._resume = None
+        self.resumed = True
+        self._chain = decision.chain
+        self._scanned = decision.log_len
+        self.sleep = decision.sleep
+        self.counts = dict(decision.counts)
+        self.trail = decision.trail[:decision.round]
+        self.cursor = len(self.script)
+        tid = self.script[-1]
+        self._branch_sleep(tid, ready - self.sleep)
+        self.counts[tid] = self.counts.get(tid, 0) + 1
+        self.trail.append(tid)
         return tid
 
     def _resolve(self, ready: Optional[FrozenSet[int]]) -> None:
@@ -269,7 +378,7 @@ class ReducingScheduler:
         if pending is None:
             return
         self._pending = None
-        chosen, siblings, depth, chain_before = pending
+        chosen, siblings, depth, chain_before, decision = pending
         silent = self._chain == chain_before
         still_running = ready is not None and chosen in ready
         if silent and still_running:
@@ -279,16 +388,22 @@ class ReducingScheduler:
             # conservatively kept.)
             self.stats.prune(DPOR, len(siblings))
         elif siblings:
-            self.branches.append((depth, siblings))
+            self.branches.append((depth, siblings, decision))
 
     def finalize(self) -> None:
-        """Resolve the last decision conservatively when the run ends."""
+        """Resolve the last decision conservatively when the run ends.
+
+        Also adds this run's rounds to :func:`scheduler_info`.
+        """
         pending = self._pending
         if pending is not None:
             self._pending = None
-            _chosen, siblings, depth, _chain = pending
+            _chosen, siblings, depth, _chain, decision = pending
             if siblings:
-                self.branches.append((depth, siblings))
+                self.branches.append((depth, siblings, decision))
+        _INFO["picks"] += self._replayed + self.resumed + self.full_picks
+        _INFO["full_picks"] += self.full_picks
+        _INFO["resumed_runs"] += self.resumed
 
     def fresh(self) -> "ReducingScheduler":  # pragma: no cover - protocol
         raise TypeError("ReducingScheduler instances are single-use")

@@ -272,3 +272,40 @@ class TestReplayWork:
         assert stack.composed.certificate.ok
         assert visited[0] > 100_000
         assert 0 < work <= visited[0] // 10
+
+
+class TestGameWork:
+    def test_thm22_game_does_full_bookkeeping_on_a_quarter_of_its_rounds(self, monkeypatch):
+        """Deterministic scheduler and mini-C work of the Thm 2.2 game.
+
+        Sibling runs resume their parent's recorded decision, so at most
+        a quarter of the scheduling rounds re-derive scheduler state from
+        the log.  The work counts stay out of obs-off provenance.
+        """
+        import json
+
+        from repro.clight.semantics import clight_info
+        from repro.core import check_soundness
+        from repro.reduce.dpor import scheduler_info
+
+        for var in ("REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_CACHE", "REPRO_REDUCE"):
+            monkeypatch.delenv(var, raising=False)
+        stack = certify_ticket_lock([1, 2], lock="game_work")
+        picks, stmts = scheduler_info(), clight_info()["stmts"]
+        cert = check_soundness(
+            stack.composed,
+            clients=[{tid: [("acq", ("game_work",)), ("rel", ("game_work",))]
+                      for tid in (1, 2)}],
+            max_rounds=20,
+            require_progress=False,
+        )
+        after = scheduler_info()
+        rounds = after["picks"] - picks["picks"]
+        full = after["full_picks"] - picks["full_picks"]
+        assert cert.ok
+        assert rounds > 10_000
+        assert 0 < full <= rounds // 4
+        assert after["resumed_runs"] > picks["resumed_runs"]
+        assert clight_info()["stmts"] > stmts
+        text = json.dumps(cert.to_json())
+        assert "full_picks" not in text and "stmts_executed" not in text
